@@ -34,9 +34,8 @@ let git_rev () =
 
 let instance_of ~m ~n seed = Generator.uniform.Generator.generate (Prng.create seed) ~m ~n
 
-(* Mirrors bench/main.ml's table1/scaling groups (same names, same
-   seeds) so numbers line up across the two harnesses; ablations are
-   left to the exploratory harness. *)
+(* [table1/*] runs every algorithm of the paper's Table 1 row set on
+   one fixed mid-sized instance (who costs what). *)
 let table1_cases () =
   let mid = instance_of ~m:16 ~n:2_000 7 in
   let eps = Rat.of_ints 1 10 in
@@ -68,6 +67,66 @@ let scaling_cases ~quick =
         (Printf.sprintf "scaling/pmtn-cj/n=%d" n, fun () -> ignore (Pmtn_cj.solve inst));
       ])
     sizes
+
+(* Design choices DESIGN.md §6 calls out, informational only: knapsack
+   solvers, class jumping vs plain binary search, the m-independent
+   compact construction vs explicit machines, and rational arithmetic
+   fast paths. Each case is (name, ops per timed run, thunk); the Rat
+   cases take nanoseconds, so one timed run is a batch of [rat_ops]
+   operations and the entry reports the cost of one. *)
+let rat_ops = 1_000
+
+let ablation_cases () =
+  let rng = Prng.create 99 in
+  let items =
+    Array.init 4_000 (fun i ->
+        {
+          Bss_knapsack.Knapsack.id = i;
+          profit = Rat.of_int (1 + Prng.int rng 1000);
+          weight = Rat.of_int (1 + Prng.int rng 1000);
+        })
+  in
+  let capacity = Rat.of_int 500_000 in
+  let cj_inst = instance_of ~m:64 ~n:8_000 11 in
+  let eps = Rat.of_ints 1 1024 in
+  let t_min = Bss_instances.Lower_bounds.t_min Variant.Splittable cj_inst in
+  let compact_inst =
+    Bss_instances.Instance.make ~m:1_000_000 ~setups:[| 3; 5 |]
+      ~jobs:[| (0, 40_000_000); (0, 7); (1, 9_000_000); (1, 11) |]
+  in
+  let explicit_inst =
+    Bss_instances.Instance.make ~m:100_000 ~setups:[| 3; 5 |]
+      ~jobs:[| (0, 4_000_000); (0, 7); (1, 900_000); (1, 11) |]
+  in
+  let small_a = Rat.of_ints 355 113 and small_b = Rat.of_ints 22 7 in
+  let big_a =
+    Rat.make (Bigint.of_string "123456789012345678901234567") (Bigint.of_string "987654321098765432109")
+  and big_b =
+    Rat.make (Bigint.of_string "314159265358979323846264338") (Bigint.of_string "271828182845904523536")
+  in
+  let rat op a b () =
+    for _ = 1 to rat_ops do
+      ignore (Sys.opaque_identity (op (Sys.opaque_identity a) b))
+    done
+  in
+  [
+    ( "ablation/knapsack-sorted",
+      1,
+      fun () -> ignore (Bss_knapsack.Knapsack.solve_sorted items ~capacity) );
+    ( "ablation/knapsack-linear",
+      1,
+      fun () -> ignore (Bss_knapsack.Knapsack.solve_linear items ~capacity) );
+    ("ablation/search-class-jumping", 1, fun () -> ignore (Splittable_cj.solve cj_inst));
+    ( "ablation/search-binary-eps",
+      1,
+      fun () -> ignore (Dual_search.search ~dual:Splittable_dual.run ~epsilon:eps ~t_min cj_inst) );
+    ("ablation/compact-split-m1e6", 1, fun () -> ignore (Splittable_compact.solve compact_inst));
+    ("ablation/explicit-split-m100k", 1, fun () -> ignore (Splittable_cj.solve explicit_inst));
+    ("ablation/rat-add-small", rat_ops, rat Rat.add small_a small_b);
+    ("ablation/rat-add-big", rat_ops, rat Rat.add big_a big_b);
+    ("ablation/rat-mul-small", rat_ops, rat Rat.mul small_a small_b);
+    ("ablation/rat-mul-big", rat_ops, rat Rat.mul big_a big_b);
+  ]
 
 (* The counter sweep runs the instrumented solvers on the jumpy
    "expensive" instance the cram tests pin and merges the recordings:
@@ -207,13 +266,14 @@ let net_entries ~progress ~quick =
 
 let run ?(progress = fun _ -> ()) ~quick () =
   let runs = if quick then 5 else 9 in
+  let single = List.map (fun (name, f) -> (name, 1, f)) in
   let entries =
     List.map
-      (fun (name, f) ->
-        let ns = measure ~runs f in
-        progress (Printf.sprintf "%-28s %12.0f ns/run" name ns);
+      (fun (name, ops, f) ->
+        let ns = measure ~runs f /. float_of_int ops in
+        progress (Printf.sprintf "%-28s %12.0f ns/%s" name ns (if ops = 1 then "run" else "op"));
         { name; ns_per_run = ns; runs })
-      (table1_cases () @ scaling_cases ~quick)
+      (single (table1_cases () @ scaling_cases ~quick) @ ablation_cases ())
   in
   let entries = entries @ net_entries ~progress ~quick in
   let counters = counter_sweep () in
@@ -301,7 +361,7 @@ let against ?(tolerance = 0.25) ~baseline current =
   let say fmt = Printf.ksprintf (fun s -> lines := s :: !lines) fmt in
   let fail fmt = Printf.ksprintf (fun s -> lines := s :: !lines; failures := s :: !failures) fmt in
   (* every current entry gets a delta row; only scaling/* rows gate
-     ([table1/*] is informational, entries without a baseline are new) *)
+     (the rest are informational, entries without a baseline are new) *)
   let rows =
     List.map
       (fun (e : entry) ->

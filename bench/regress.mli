@@ -1,25 +1,29 @@
-(** The benchmark regression gate behind [bss bench].
+(** The benchmark regression gate behind [bss bench], and the repo's one
+    micro-benchmark harness.
 
-    Where [bench/main.exe] is the exploratory bechamel harness (full
-    statistics, interactive output), this module is the {e gate}: a
-    fixed-seed subset of the same table1/scaling cases timed with a
-    simple warmup-then-median loop, plus one deterministic counter sweep
-    of the instrumented solvers, serialized to schema-versioned JSON so
-    two runs can be compared mechanically.
+    A fixed-seed case set timed with a simple warmup-then-median loop,
+    plus one deterministic counter sweep of the instrumented solvers,
+    serialized to schema-versioned JSON so two runs can be compared
+    mechanically. End-to-end numbers for [bss solve] and [bss-net/1]
+    live in [perfbench/]; this module times the algorithms underneath.
 
     The comparison policy ([against]) is asymmetric by design:
     - [scaling/*] timings gate with a relative tolerance (default 25%) —
       they carry the paper's near-linear running-time claim, and a
       same-machine before/after comparison at that tolerance survives
       normal scheduler noise;
-    - [table1/*] timings are informational only (never gate);
+    - [table1/*], [ablation/*] and the other timings are informational
+      only (never gate);
     - telemetry counters must match {e exactly} on the intersection of
       names — they are deterministic per instance and algorithm, so any
       drift is an algorithmic change, not noise. *)
 
 type entry = {
   name : string;  (** [group/case] or [group/case/n=...] *)
-  ns_per_run : float;  (** median wall-clock of the timed runs *)
+  ns_per_run : float;
+      (** median wall-clock of the timed runs; for the nanosecond-scale
+          [ablation/rat-*] cases, each run is a fixed batch of operations
+          and this is the cost of one *)
   runs : int;  (** timed runs behind the median (after 1 warmup) *)
 }
 
@@ -41,7 +45,8 @@ val schema_version : string
 
 (** [run ~quick] executes the suite: table1 cases on the fixed n=2000
     instance, scaling cases at n=1000 (plus 4000 and 16000 unless
-    [quick]), and the counter sweep. [progress] (default: none) receives
+    [quick]), the ablation cases of DESIGN.md §6, the loopback net round
+    trip, and the counter sweep. [progress] (default: none) receives
     one line per completed case. *)
 val run : ?progress:(string -> unit) -> quick:bool -> unit -> t
 
@@ -55,7 +60,7 @@ type comparison = {
   table : string;
       (** the delta table: one row per current entry with baseline ns,
           current ns, ratio and verdict ([ok]/[REGRESS] for gated
-          [scaling/*] rows, [info] for table1, [new] without baseline) *)
+          [scaling/*] rows, [info] for the rest, [new] without baseline) *)
   lines : string list;  (** one human-readable verdict line per counter *)
   failures : string list;  (** subset of checks that failed the gate *)
 }

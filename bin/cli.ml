@@ -23,12 +23,13 @@ open Cmdliner
 
 module Rerror = Bss_resilience.Error
 
-let read_instance path =
+let read_file path =
   let ic = open_in path in
-  let len = in_channel_length ic in
-  let s = really_input_string ic len in
+  let s = really_input_string ic (in_channel_length ic) in
   close_in ic;
-  Instance.of_string s
+  s
+
+let read_instance path = Instance.of_string (read_file path)
 
 (* Typed-error boundary: malformed input surfaces as one structured JSON
    object (under --json) or a one-line message, with exit code 2 — never a
@@ -478,12 +479,6 @@ let fuzz_cmd =
 module Service = Bss_service
 module Net = Bss_net
 
-let read_file path =
-  let ic = open_in path in
-  let s = really_input_string ic (in_channel_length ic) in
-  close_in ic;
-  s
-
 let load_slo path =
   match Bss_obs.Slo.of_string (read_file path) with
   | Ok spec -> spec
@@ -635,8 +630,11 @@ let service_trace_term =
    merges them deterministically on exit, so profiling no longer pins
    the worker pool to one domain. [--trace-out] implies request-scoped
    tracing (reservoir 8) so the file carries the sampled span trees
-   alongside the aggregated flamegraph. *)
-let with_service_profile ~profile ~trace_out ~json config run =
+   alongside the aggregated flamegraph. [traces] reaches them in the
+   summary [run] returns. *)
+let service_traces s = s.Service.Runtime.traces
+
+let with_service_profile ~traces ~profile ~trace_out ~json config run =
   let config =
     if trace_out <> None && config.Service.Runtime.trace_sample = None then
       { config with Service.Runtime.trace_sample = Some 8 }
@@ -648,7 +646,7 @@ let with_service_profile ~profile ~trace_out ~json config run =
       (fun path ->
         let oc = open_out path in
         output_string oc
-          (Bss_obs.Render.chrome_trace ~traces:summary.Service.Runtime.traces report);
+          (Bss_obs.Render.chrome_trace ~traces:(traces summary) report);
         close_out oc)
       trace_out;
     ( summary,
@@ -806,7 +804,7 @@ let serve_cmd =
             | None -> if config.Service.Runtime.chaos <> None then "1" else "auto")
             resume;
         let summary, report =
-          with_service_profile ~profile ~trace_out ~json config (fun config ->
+          with_service_profile ~traces:service_traces ~profile ~trace_out ~json config (fun config ->
               Service.Runtime.run ~journal ~should_stop ~emit_metrics:print_endline config requests)
         in
         if json then print_endline (Service.Runtime.render_json summary)
@@ -827,44 +825,22 @@ let serve_cmd =
               else Service.Journal.fresh ?rotate_every path)
             journal
         in
-        let net_config =
-          {
-            Net.Server.listen_path = listen;
-            service = config;
-            quota;
-            read_timeout_ms;
-            write_timeout_ms;
-            drain_after;
-            max_frame_bytes = Net.Server.default_max_frame_bytes;
-          }
-        in
         let log line = if not json then print_endline line in
-        let config =
-          if trace_out <> None && config.Service.Runtime.trace_sample = None then
-            { config with Service.Runtime.trace_sample = Some 8 }
-          else config
-        in
-        let net_config = { net_config with Net.Server.service = config } in
-        let serve () =
-          Net.Server.serve ?journal ~should_stop ~emit_metrics:print_endline ~log net_config
-        in
         let summary, report =
-          if profile || trace_out <> None then begin
-            let s, report = Bss_obs.Probe.with_recording serve in
-            Option.iter
-              (fun path ->
-                let oc = open_out path in
-                output_string oc
-                  (Bss_obs.Render.chrome_trace
-                     ~traces:s.Net.Server.service.Service.Runtime.traces report);
-                close_out oc)
-              trace_out;
-            ( s,
-              if profile then
-                Some (if json then Bss_obs.Render.json report ^ "\n" else Bss_obs.Render.table report)
-              else None )
-          end
-          else (serve (), None)
+          with_service_profile
+            ~traces:(fun s -> s.Net.Server.service.Service.Runtime.traces)
+            ~profile ~trace_out ~json config
+            (fun config ->
+              Net.Server.serve ?journal ~should_stop ~emit_metrics:print_endline ~log
+                {
+                  Net.Server.listen_path = listen;
+                  service = config;
+                  quota;
+                  read_timeout_ms;
+                  write_timeout_ms;
+                  drain_after;
+                  max_frame_bytes = Net.Server.default_max_frame_bytes;
+                })
         in
         if json then print_endline (render_net_json summary)
         else print_string (render_net_text summary);
@@ -927,7 +903,7 @@ let soak_cmd =
         config.Service.Runtime.burst
         (match config.Service.Runtime.chaos with None -> "off" | Some c -> string_of_int c);
     let summary, report =
-      with_service_profile ~profile ~trace_out ~json config (fun config ->
+      with_service_profile ~traces:service_traces ~profile ~trace_out ~json config (fun config ->
           Service.Runtime.run ?journal ~should_stop ~emit_metrics:print_endline config stream)
     in
     if json then print_endline (Service.Runtime.render_json summary)
@@ -1127,19 +1103,13 @@ let report_cmd =
   let top =
     Arg.(value & opt int 5 & info [ "top" ] ~docv:"K" ~doc:"Slowest traces to list (default 5).")
   in
-  let read path =
-    let ic = open_in path in
-    let s = really_input_string ic (in_channel_length ic) in
-    close_in ic;
-    s
-  in
   let run metrics against trace top =
     if metrics = None && trace = None then begin
       prerr_endline "bss report: nothing to analyze (pass --metrics and/or --trace)";
       exit 2
     end;
     let load_points path =
-      match Offline.parse_metrics (read path) with
+      match Offline.parse_metrics (read_file path) with
       | Ok points -> points
       | Error msg ->
         prerr_endline (Printf.sprintf "bss report: %s: %s" path msg);
@@ -1158,7 +1128,7 @@ let report_cmd =
       metrics;
     Option.iter
       (fun path ->
-        match Offline.parse_traces (read path) with
+        match Offline.parse_traces (read_file path) with
         | Error msg ->
           prerr_endline (Printf.sprintf "bss report: %s: %s" path msg);
           exit 2
@@ -1325,10 +1295,7 @@ let bench_cmd =
          & info [ "tolerance" ] ~docv:"PCT" ~doc:"Allowed scaling/* slowdown vs the baseline, in percent.")
   in
   let load path =
-    let ic = open_in path in
-    let s = really_input_string ic (in_channel_length ic) in
-    close_in ic;
-    match Regress.of_json s with
+    match Regress.of_json (read_file path) with
     | Ok t -> t
     | Error msg ->
       prerr_endline (Printf.sprintf "bss bench: %s: %s" path msg);

@@ -49,16 +49,22 @@ let choose t a =
   if Array.length a = 0 then invalid_arg "Prng.choose: empty";
   a.(int t (Array.length a))
 
-let zipf t ~alpha ~n =
+let zipf ~alpha ~n =
   if n < 1 then invalid_arg "Prng.zipf: n must be >= 1";
-  let weights = Array.init n (fun i -> 1.0 /. (float_of_int (i + 1) ** alpha)) in
-  let total = Array.fold_left ( +. ) 0.0 weights in
-  let u = float t *. total in
-  let rec go i acc =
-    if i >= n - 1 then n
-    else begin
-      let acc = acc +. weights.(i) in
-      if u < acc then i + 1 else go (i + 1) acc
-    end
-  in
-  go 0 0.0
+  (* cum.(k) is the left-to-right sum of the first k weights, so
+     cum.(n) is the total; weights are positive, so cum is non-decreasing
+     in floating point too and a binary search finds the scan's answer *)
+  let cum = Array.make (n + 1) 0.0 in
+  for i = 1 to n do
+    cum.(i) <- cum.(i - 1) +. (1.0 /. (float_of_int i ** alpha))
+  done;
+  fun t ->
+    let u = float t *. cum.(n) in
+    (* the least k < n with u < cum.(k), else n *)
+    let rec go lo hi =
+      if lo >= hi then lo
+      else
+        let mid = (lo + hi) / 2 in
+        if u < cum.(mid) then go lo mid else go (mid + 1) hi
+    in
+    go 1 n

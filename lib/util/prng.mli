@@ -38,7 +38,8 @@ val shuffle : t -> 'a array -> unit
     @raise Invalid_argument on empty input. *)
 val choose : t -> 'a array -> 'a
 
-(** [zipf t ~alpha ~n] samples from a Zipf distribution on [\[1, n\]] with
-    exponent [alpha > 0] by inverse-CDF over precomputed weights — fine for
-    the modest [n] used by workload generators. *)
-val zipf : t -> alpha:float -> n:int -> int
+(** [zipf ~alpha ~n] is a sampler for a Zipf distribution on [\[1, n\]]
+    with exponent [alpha > 0], by inverse CDF: the partial application
+    builds the cumulative weights once in [O(n)], and each draw
+    [zipf ~alpha ~n t] binary-searches them in [O(log n)]. *)
+val zipf : alpha:float -> n:int -> t -> int

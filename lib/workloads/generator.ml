@@ -97,8 +97,9 @@ let zipf =
         let c = max 2 (n / 6) in
         let setups = Array.init c (fun _ -> Prng.int_in rng 1 60) in
         let counts = Array.make c 1 in
+        let draw = Prng.zipf ~alpha:1.2 ~n:c in
         for _ = 1 to max 0 (n - c) do
-          let i = Prng.zipf rng ~alpha:1.2 ~n:c - 1 in
+          let i = draw rng - 1 in
           counts.(i) <- counts.(i) + 1
         done;
         let jobs = ref [] in

@@ -221,10 +221,39 @@ let test_prng_shuffle_permutes () =
 
 let test_prng_zipf () =
   let rng = Prng.create 3 in
+  let draw = Prng.zipf ~alpha:1.2 ~n:10 in
   for _ = 1 to 200 do
-    let v = Prng.zipf rng ~alpha:1.2 ~n:10 in
+    let v = draw rng in
     check bool_c "zipf range" true (v >= 1 && v <= 10)
   done
+
+(* The per-draw linear scan [Prng.zipf] used before it precomputed its
+   cumulative weights: every draw, and so every generated instance, must
+   stay bit-identical to it. *)
+let zipf_scan t ~alpha ~n =
+  let weights = Array.init n (fun i -> 1.0 /. (float_of_int (i + 1) ** alpha)) in
+  let total = Array.fold_left ( +. ) 0.0 weights in
+  let u = Prng.float t *. total in
+  let rec go i acc =
+    if i >= n - 1 then n
+    else begin
+      let acc = acc +. weights.(i) in
+      if u < acc then i + 1 else go (i + 1) acc
+    end
+  in
+  go 0 0.0
+
+let test_prng_zipf_matches_scan () =
+  List.iter
+    (fun (seed, alpha, n) ->
+      let fast = Prng.create seed and slow = Prng.create seed in
+      let draw = Prng.zipf ~alpha ~n in
+      for _ = 1 to 500 do
+        check int_c
+          (Printf.sprintf "seed=%d alpha=%g n=%d" seed alpha n)
+          (zipf_scan slow ~alpha ~n) (draw fast)
+      done)
+    [ (1, 1.2, 1); (2, 1.2, 2); (3, 1.2, 10); (4, 1.2, 333); (5, 0.5, 1000); (6, 2.0, 1000); (7, 1.2, 5000) ]
 
 (* ---------------- Select ---------------- *)
 
@@ -496,6 +525,7 @@ let () =
           Alcotest.test_case "bounds" `Quick test_prng_bounds;
           Alcotest.test_case "shuffle" `Quick test_prng_shuffle_permutes;
           Alcotest.test_case "zipf" `Quick test_prng_zipf;
+          Alcotest.test_case "zipf matches per-draw scan" `Quick test_prng_zipf_matches_scan;
         ] );
       ( "select",
         [
