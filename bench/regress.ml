@@ -70,10 +70,11 @@ let scaling_cases ~quick =
 
 (* Design choices DESIGN.md §6 calls out, informational only: knapsack
    solvers, class jumping vs plain binary search, the m-independent
-   compact construction vs explicit machines, and rational arithmetic
-   fast paths. Each case is (name, ops per timed run, thunk); the Rat
-   cases take nanoseconds, so one timed run is a batch of [rat_ops]
-   operations and the entry reports the cost of one. *)
+   compact construction vs explicit machines, rational arithmetic fast
+   paths, and the solver's compaction post-pass per variant. Each case
+   is (name, ops per timed run, thunk); the Rat cases take nanoseconds,
+   so one timed run is a batch of [rat_ops] operations and the entry
+   reports the cost of one. *)
 let rat_ops = 1_000
 
 let ablation_cases () =
@@ -109,6 +110,19 @@ let ablation_cases () =
       ignore (Sys.opaque_identity (op (Sys.opaque_identity a) b))
     done
   in
+  (* Compaction alone, on each variant's construction schedule built once
+     here; the table1 solver rows time it only mixed with the search. *)
+  let compact_cases =
+    let inst = instance_of ~m:64 ~n:10_000 13 in
+    List.map
+      (fun (name, v, schedule) ->
+        (Printf.sprintf "ablation/compact-%s/n=10000" name, 1, fun () -> ignore (Compaction.compact v inst schedule)))
+      [
+        ("split", Variant.Splittable, (Splittable_cj.solve inst).Splittable_cj.schedule);
+        ("pmtn", Variant.Preemptive, (Pmtn_cj.solve inst).Pmtn_cj.schedule);
+        ("nonp", Variant.Nonpreemptive, (Nonp_search.solve inst).Nonp_search.schedule);
+      ]
+  in
   [
     ( "ablation/knapsack-sorted",
       1,
@@ -127,6 +141,7 @@ let ablation_cases () =
     ("ablation/rat-mul-small", rat_ops, rat Rat.mul small_a small_b);
     ("ablation/rat-mul-big", rat_ops, rat Rat.mul big_a big_b);
   ]
+  @ compact_cases
 
 (* The counter sweep runs the instrumented solvers on the jumpy
    "expensive" instance the cram tests pin and merges the recordings:

@@ -25,7 +25,15 @@ let add_work t ~machine ~job ~start ~dur = add t ~machine { start; dur; content 
 
 let by_start a b = Rat.compare a.start b.start
 
-let segments t u = List.sort by_start t.segs.(u)
+(* Schedules are mostly built left to right, so the stored list is usually
+   strictly descending by start, and then reversing it is the stable sort. *)
+let rec descending = function
+  | a :: (b :: _ as rest) -> Rat.compare a.start b.start > 0 && descending rest
+  | [] | [ _ ] -> true
+
+let segments t u =
+  let segs = t.segs.(u) in
+  if descending segs then List.rev segs else List.sort by_start segs
 
 let all_segments t =
   let acc = ref [] in

@@ -33,7 +33,10 @@ val add_setup : t -> machine:int -> cls:int -> start:Rat.t -> dur:Rat.t -> unit
 (** [add_work t ~machine ~job ~start ~dur] convenience wrapper. *)
 val add_work : t -> machine:int -> job:int -> start:Rat.t -> dur:Rat.t -> unit
 
-(** [segments t u] is machine [u]'s segments sorted by start time. *)
+(** [segments t u] is machine [u]'s segments sorted by start time; equal
+    starts keep their reverse append order. [O(k)] for the [k] segments of
+    [u] when they were appended in strictly increasing start order,
+    otherwise a stable sort in [O(k log k)]. *)
 val segments : t -> int -> seg list
 
 (** [all_segments t] is [(machine, seg)] for every segment, unordered. *)

@@ -148,6 +148,52 @@ let test_schedule_sorted_segments () =
     check rat_c "second" (Rat.of_int 5) b.Schedule.start
   | _ -> Alcotest.fail "expected two segments"
 
+let test_schedule_remove_unsorted () =
+  let s = Schedule.create 2 in
+  let r = Rat.of_int in
+  Schedule.add_work s ~machine:0 ~job:0 ~start:(r 6) ~dur:(r 2);
+  Schedule.add_setup s ~machine:0 ~cls:0 ~start:(r 0) ~dur:(r 1);
+  Schedule.add_work s ~machine:1 ~job:2 ~start:(r 0) ~dur:(r 3);
+  Schedule.add_work s ~machine:0 ~job:1 ~start:(r 2) ~dur:(r 4);
+  let starts = List.map (fun (seg : Schedule.seg) -> Rat.to_string seg.Schedule.start) in
+  check Alcotest.(list string) "returned by start" [ "0"; "2"; "6" ] (starts (Schedule.remove_machine_segments s 0));
+  check int_c "machine cleared" 0 (List.length (Schedule.segments s 0));
+  check Alcotest.(list string) "other machine kept" [ "0" ] (starts (Schedule.segments s 1))
+
+let seg_eq (a : Schedule.seg) (b : Schedule.seg) =
+  Rat.equal a.Schedule.start b.Schedule.start && Rat.equal a.Schedule.dur b.Schedule.dur
+  && a.Schedule.content = b.Schedule.content
+
+(* [segments] may skip the sort when appends came in start order, but must
+   always equal the stable sort of the reverse append order: equal starts
+   on one machine keep their order, zero durations are dropped. *)
+let prop_segments_stable_sort =
+  let gen =
+    QCheck2.Gen.(
+      pair bool (list_size (int_range 0 30) (triple (int_range 0 2) (int_range 0 6) (int_range 0 3))))
+  in
+  QCheck2.Test.make ~name:"segments = stable sort of reverse appends" ~count:300 gen (fun (ascending, raw) ->
+      let raw = if ascending then List.stable_sort (fun (_, a, _) (_, b, _) -> compare a b) raw else raw in
+      let s = Schedule.create 3 in
+      let appended =
+        List.mapi
+          (fun job (u, start, dur) ->
+            let seg = { Schedule.start = Rat.of_int start; dur = Rat.of_int dur; content = Schedule.Work job } in
+            Schedule.add s ~machine:u seg;
+            (u, seg))
+          raw
+      in
+      List.for_all
+        (fun u ->
+          let expected =
+            List.rev appended
+            |> List.filter_map (fun (u', (seg : Schedule.seg)) ->
+                   if u' = u && not (Rat.is_zero seg.Schedule.dur) then Some seg else None)
+            |> List.stable_sort (fun (a : Schedule.seg) b -> Rat.compare a.Schedule.start b.Schedule.start)
+          in
+          List.equal seg_eq expected (Schedule.segments s u))
+        [ 0; 1; 2 ])
+
 (* ---------------- Checker ---------------- *)
 
 (* A feasible non-preemptive schedule for the fixture. *)
@@ -598,6 +644,7 @@ let () =
           Alcotest.test_case "accumulators" `Quick test_schedule_accumulators;
           Alcotest.test_case "zero dur dropped" `Quick test_schedule_zero_dur_dropped;
           Alcotest.test_case "sorted segments" `Quick test_schedule_sorted_segments;
+          Alcotest.test_case "remove unsorted machine" `Quick test_schedule_remove_unsorted;
         ] );
       ( "checker",
         [
@@ -636,5 +683,11 @@ let () =
           Alcotest.test_case "svg" `Quick test_svg_render;
           Alcotest.test_case "metrics" `Quick test_metrics;
         ] );
-      qsuite "props" [ prop_lower_bound_sane; prop_partition_is_partition; prop_alpha_beta_relations ];
+      qsuite "props"
+        [
+          prop_lower_bound_sane;
+          prop_partition_is_partition;
+          prop_alpha_beta_relations;
+          prop_segments_stable_sort;
+        ];
     ]
