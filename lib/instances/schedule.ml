@@ -25,8 +25,11 @@ let add_work t ~machine ~job ~start ~dur = add t ~machine { start; dur; content 
 
 let by_start a b = Rat.compare a.start b.start
 
-(* Schedules are mostly built left to right, so the stored list is usually
-   strictly descending by start, and then reversing it is the stable sort. *)
+(* A machine whose segments were appended in strictly increasing start
+   order stores a strictly descending list, and reversing it is the stable
+   sort. The constructions build left to right; the known exception, a
+   large machine of Pmtn_dual that also takes a K piece below T/2, falls
+   back to the sort. *)
 let rec descending = function
   | a :: (b :: _ as rest) -> Rat.compare a.start b.start > 0 && descending rest
   | [] | [ _ ] -> true
