@@ -133,7 +133,8 @@ let ablation_cases () =
     ("ablation/search-class-jumping", 1, fun () -> ignore (Splittable_cj.solve cj_inst));
     ( "ablation/search-binary-eps",
       1,
-      fun () -> ignore (Dual_search.search ~dual:Splittable_dual.run ~epsilon:eps ~t_min cj_inst) );
+      fun () ->
+        ignore (Dual_search.search ~dual:(Solver.dual_for Variant.Splittable) ~epsilon:eps ~t_min cj_inst) );
     ("ablation/compact-split-m1e6", 1, fun () -> ignore (Splittable_compact.solve compact_inst));
     ("ablation/explicit-split-m100k", 1, fun () -> ignore (Splittable_cj.solve explicit_inst));
     ("ablation/rat-add-small", rat_ops, rat Rat.add small_a small_b);

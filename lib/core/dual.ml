@@ -10,7 +10,15 @@ type outcome =
   | Accepted of Schedule.t
   | Rejected of rejection
 
-type algorithm = Instance.t -> Rat.t -> outcome
+type algorithm = {
+  test : Instance.t -> Rat.t -> (unit, rejection) result;
+  construct : Instance.t -> Rat.t -> Schedule.t;
+}
+
+let run d inst tee =
+  match d.test inst tee with
+  | Error r -> Rejected r
+  | Ok () -> Accepted (d.construct inst tee)
 
 let pp_rejection fmt = function
   | Below_trivial_bound { bound } -> Format.fprintf fmt "rejected: T below trivial bound %a" Rat.pp bound

@@ -24,8 +24,18 @@ type outcome =
   | Accepted of Schedule.t  (** feasible, makespan [<= ρT] *)
   | Rejected of rejection  (** certified [T < OPT] *)
 
-(** A dual algorithm: instance and guess to outcome. *)
-type algorithm = Instance.t -> Rat.t -> outcome
+(** A dual algorithm, split at its decision. [test inst tee] runs every
+    rejection check and builds nothing; [construct inst tee] builds the
+    schedule for a guess [test] accepted (its result is unspecified on a
+    rejected guess). A search probes many guesses with [test] and calls
+    [construct] once. *)
+type algorithm = {
+  test : Instance.t -> Rat.t -> (unit, rejection) result;
+  construct : Instance.t -> Rat.t -> Schedule.t;
+}
+
+(** [run d inst tee] is [d.test], then [d.construct] if it accepts. *)
+val run : algorithm -> Instance.t -> Rat.t -> outcome
 
 val pp_rejection : Format.formatter -> rejection -> unit
 val pp_outcome : Format.formatter -> outcome -> unit

@@ -5,7 +5,11 @@
     accepts any [T >= OPT]. The search keeps an interval [(lo, hi]] with
     [lo] rejected (hence [lo < OPT]) and [hi] accepted, halving until
     [hi − lo <= ε'·T_min] with [ε' = 2ε/3]; then the accepted schedule has
-    makespan [<= (3/2)·hi <= (3/2)(1 + ε')·OPT = (3/2 + ε)·OPT]. *)
+    makespan [<= (3/2)·hi <= (3/2)(1 + ε')·OPT = (3/2 + ε)·OPT].
+
+    Each guess is decided by the dual's [test] alone; its [construct] runs
+    once, at [T_min] when that first guess is accepted and otherwise at the
+    final [hi]: [O(log 1/ε)] [O(n)] tests plus one [O(n)] build. *)
 
 open Bss_util
 open Bss_instances
@@ -13,11 +17,12 @@ open Bss_instances
 type result = {
   schedule : Schedule.t;
   accepted : Rat.t;  (** the accepted guess; makespan [<= (3/2)·accepted] *)
-  dual_calls : int;  (** number of dual invocations (for ablations) *)
+  dual_calls : int;  (** number of guesses tested (for ablations); the one build is not counted *)
 }
 
-(** [search ~dual ~epsilon ~t_min inst] runs the search. [epsilon] must be
-    positive; [t_min] is the variant's {!Bss_instances.Lower_bounds.t_min}.
+(** [search ~dual ~epsilon ~t_min inst] runs the search with [dual]'s
+    test and construction. [epsilon] must be positive; [t_min] is the
+    variant's {!Bss_instances.Lower_bounds.t_min}.
     @raise Invalid_argument on non-positive [epsilon].
     @raise Failure if the dual rejects [2·t_min] (a dual-contract
     violation — cannot happen for the duals in this library). *)

@@ -27,7 +27,16 @@
 open Bss_util
 open Bss_instances
 
-(** [run inst tee] is the dual algorithm. *)
+(** [test inst tee] runs the three rejection checks of {!run} (the trivial
+    bound, [mT < L_nonp], [m < m']) in [O(n)] and builds nothing; [Ok ()]
+    means {!run} accepts. The integer search probes every guess with it. *)
+val test : Instance.t -> Rat.t -> (unit, Dual.rejection) result
+
+(** [construct inst tee] builds Algorithm 6's schedule (steps 1-4 above).
+    Requires [test inst tee = Ok ()]. *)
+val construct : Instance.t -> Rat.t -> Schedule.t
+
+(** [run inst tee] is the dual algorithm: {!test}, then {!construct}. *)
 val run : Instance.t -> Rat.t -> Dual.outcome
 
 (** [bounds inst tee] is [(L_nonp, m')], for searches and tests.

@@ -189,7 +189,7 @@ let solve inst =
   in
   if Probe.enabled () then
     Probe.event (Event.Note { source = "pmtn_cj"; key = "t_star"; value = Rat.to_string t_star });
-  match Pmtn_dual.run ~mode inst t_star with
+  match Probe.span "construction" (fun () -> Pmtn_dual.run ~mode inst t_star) with
   | Dual.Accepted schedule -> { schedule; accepted = t_star; bound_tests = !tests }
   | Dual.Rejected r ->
     failwith (Format.asprintf "Pmtn_cj: T* unexpectedly rejected: %a" Dual.pp_rejection r)

@@ -154,7 +154,7 @@ let test_of_analysis inst tee a =
          { required = Rat.add a.obligatory (Rat.sub (Rat.mul_int tee (m - a.l)) a.free); available = Rat.mul_int tee (m - a.l) })
   else Ok ()
 
-let construct inst tee a =
+let construct_analyzed inst tee a =
   let m = inst.Instance.m in
   let half = half_of tee in
   let quarter = Rat.div_int tee 4 in
@@ -311,6 +311,8 @@ let test ?mode inst tee =
   if Rat.( < ) tee trivial then Error (Dual.Below_trivial_bound { bound = trivial })
   else test_of_analysis inst tee (analyze ?mode inst tee)
 
+let construct ?mode inst tee = construct_analyzed inst tee (analyze ?mode inst tee)
+
 let run ?mode inst tee =
   Bss_resilience.Guard.tick "pmtn_dual.test";
   let trivial = Rat.of_int (Lower_bounds.setup_plus_tmax inst) in
@@ -319,7 +321,7 @@ let run ?mode inst tee =
     let a = analyze ?mode inst tee in
     match test_of_analysis inst tee a with
     | Error r -> Dual.Rejected r
-    | Ok () -> Dual.Accepted (construct inst tee a)
+    | Ok () -> Dual.Accepted (construct_analyzed inst tee a)
   end
 
 let search_quantities inst tee a =

@@ -45,6 +45,12 @@ val bounds : ?mode:Pmtn_nice.mode -> Instance.t -> Rat.t -> Rat.t * int
     which probe many guesses and construct only once. *)
 val test : ?mode:Pmtn_nice.mode -> Instance.t -> Rat.t -> (unit, Dual.rejection) result
 
+(** [construct inst tee] builds the schedule {!run} returns on acceptance,
+    redoing the [O(n)] analysis {!test} did. Requires
+    [test ?mode inst tee = Ok ()]. It charges no guard tick: a search pays
+    one per guess in {!test} and builds once. *)
+val construct : ?mode:Pmtn_nice.mode -> Instance.t -> Rat.t -> Schedule.t
+
 (** [analysis] quantities exposed for the class-jumping search. *)
 type analysis
 

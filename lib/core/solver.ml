@@ -40,9 +40,13 @@ let polish variant inst primary =
 
 let dual_for variant =
   match variant with
-  | Variant.Splittable -> Splittable_dual.run
-  | Variant.Preemptive -> fun inst tee -> Pmtn_dual.run inst tee
-  | Variant.Nonpreemptive -> Nonp_dual.run
+  | Variant.Splittable -> { Dual.test = Splittable_dual.test; construct = Splittable_dual.construct }
+  | Variant.Preemptive ->
+    {
+      Dual.test = (fun inst tee -> Pmtn_dual.test inst tee);
+      construct = (fun inst tee -> Pmtn_dual.construct inst tee);
+    }
+  | Variant.Nonpreemptive -> { Dual.test = Nonp_dual.test; construct = Nonp_dual.construct }
 
 let solve ~algorithm variant inst =
   Probe.span "solve" (fun () ->

@@ -32,6 +32,10 @@ type result = {
     suite via the exact checker on every path). *)
 val solve : algorithm:algorithm -> Variant.t -> Instance.t -> result
 
+(** [dual_for variant] is the variant's 3/2-dual (Theorems 5, 7, 9) as
+    the test and the construction {!Dual_search.search} takes. *)
+val dual_for : Variant.t -> Dual.algorithm
+
 (** [algorithm_name ~algorithm variant] is a short display name, e.g.
     ["3/2 class-jumping (split)"] . *)
 val algorithm_name : algorithm:algorithm -> Variant.t -> string

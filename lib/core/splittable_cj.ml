@@ -18,11 +18,7 @@ let find_t_star inst =
     incr tests;
     Guard.tick "splittable_cj.bound_test";
     Probe.count "splittable_cj.bound_tests";
-    if Rat.( < ) tee smax then false
-    else begin
-      let l_split, m_exp = Splittable_dual.bounds inst tee in
-      Rat.( >= ) (Rat.mul_int tee m) l_split && m_exp <= m
-    end
+    Result.is_ok (Splittable_dual.test inst tee)
   in
   (* [accept] on a region breakpoint vs. on a class-jump point: same test,
      separate counters, so a profile attributes the O(log c) region phase
@@ -162,7 +158,7 @@ let find_t_star inst =
 
 let solve inst =
   let t_star, tests = find_t_star inst in
-  match Splittable_dual.run inst t_star with
+  match Probe.span "construction" (fun () -> Splittable_dual.run inst t_star) with
   | Dual.Accepted schedule -> { schedule; accepted = t_star; bound_tests = tests }
   | Dual.Rejected r ->
     (* Cannot happen: t_star is accepted by construction. *)

@@ -10,8 +10,8 @@
     computed in constant time.
 
     This module rebuilds the Theorem 7 construction in that compact form.
-    It accepts and rejects exactly like {!Splittable_dual.run} (same
-    bounds), and on acceptance returns a {!Bss_instances.Config_schedule.t}
+    It accepts and rejects exactly like {!Splittable_dual.run} (it calls
+    {!Splittable_dual.test}), and on acceptance returns a {!Bss_instances.Config_schedule.t}
     whose expansion is splittable-feasible with makespan at most [3T/2]
     (property-tested against the explicit construction). *)
 

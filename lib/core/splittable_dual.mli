@@ -21,7 +21,17 @@
 open Bss_util
 open Bss_instances
 
-(** [run inst tee] is the dual algorithm. *)
+(** [test inst tee] is the acceptance rule of {!run} in [O(c)]: the
+    left-closed [T < s_max] clamp, then [mT < L_split] and [m < m_exp].
+    [Ok ()] means {!run} accepts. Every splittable search decides its
+    guesses with it. *)
+val test : Instance.t -> Rat.t -> (unit, Dual.rejection) result
+
+(** [construct inst tee] wraps the classes as described above. Requires
+    [test inst tee = Ok ()]. *)
+val construct : Instance.t -> Rat.t -> Schedule.t
+
+(** [run inst tee] is the dual algorithm: {!test}, then {!construct}. *)
 val run : Instance.t -> Rat.t -> Dual.outcome
 
 (** [bounds inst tee] is [(L_split, m_exp)] — the rejection quantities,

@@ -22,6 +22,16 @@ let gen_instance ?max_m ?max_c ?max_extra_jobs ?max_setup ?max_time () =
     let* seed = int_range 0 1_000_000 in
     return (random_instance ?max_m ?max_c ?max_extra_jobs ?max_setup ?max_time (Prng.create seed)))
 
+(* An instance from one of the workload generator families, small enough
+   to solve many times. *)
+let gen_family_instance ?(max_m = 8) ?(max_n = 40) () =
+  QCheck2.Gen.(
+    let* spec = oneofl Bss_workloads.Generator.all in
+    let* seed = int_range 0 100_000 in
+    let* m = int_range 1 max_m in
+    let* n = int_range 1 max_n in
+    return (spec.Bss_workloads.Generator.generate (Prng.create seed) ~m ~n))
+
 (* makespan <= factor * bound, exact rational comparison *)
 let within_factor ~num ~den schedule bound =
   Rat.( <= ) (Rat.mul_int (Schedule.makespan schedule) den) (Rat.mul_int bound num)

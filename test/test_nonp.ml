@@ -111,6 +111,49 @@ let prop_search_feasible =
       Rat.( < ) below (Lower_bounds.t_min Variant.Nonpreemptive inst)
       || not (Dual.is_accepted (Nonp_dual.run inst below)))
 
+(* The search as it was before it decided guesses with [Nonp_dual.test]:
+   every guess runs the whole dual, and the schedule of the latest
+   accepted guess is kept. *)
+let reference inst =
+  let calls = ref 0 in
+  let run t =
+    incr calls;
+    Nonp_dual.run inst (Rat.of_int t)
+  in
+  let t_min = Lower_bounds.t_min Variant.Nonpreemptive inst in
+  let lo = ref (Rat.ceil_int t_min - 1) in
+  let hi = ref (Rat.ceil_int (Rat.mul_int t_min 2)) in
+  match run !hi with
+  | Dual.Rejected r -> Alcotest.failf "reference: 2*T_min rejected: %a" Dual.pp_rejection r
+  | Dual.Accepted s ->
+    let best = ref s in
+    while !hi - !lo > 1 do
+      let mid = (!lo + !hi) / 2 in
+      match run mid with
+      | Dual.Accepted s ->
+        best := s;
+        hi := mid
+      | Dual.Rejected _ -> lo := mid
+    done;
+    (!best, Rat.of_int !hi, !calls)
+
+let same_as_reference inst =
+  let r = Nonp_search.solve inst in
+  let schedule, accepted, calls = reference inst in
+  Schedule.equal r.Nonp_search.schedule schedule
+  && Rat.equal r.Nonp_search.accepted accepted
+  && r.Nonp_search.dual_calls = calls
+
+let prop_search_matches_reference =
+  QCheck2.Test.make ~name:"search: builds once, same result as building every accepted guess" ~count:200
+    ~print:Instance.to_string
+    (Helpers.gen_family_instance ~max_m:12 ~max_n:60 ())
+    same_as_reference
+
+let test_search_matches_reference_figure10 () =
+  check bool_c "figure 10" true (same_as_reference (figure10_instance ()));
+  check bool_c "fixture" true (same_as_reference (fixture ()))
+
 let prop_search_extreme_shapes =
   QCheck2.Test.make ~name:"search on extreme shapes" ~count:150
     QCheck2.Gen.(
@@ -145,6 +188,8 @@ let () =
           Alcotest.test_case "fixture" `Quick test_search_fixture;
           Alcotest.test_case "single machine" `Quick test_search_single_machine;
           Alcotest.test_case "log calls" `Quick test_search_logarithmic_calls;
+          Alcotest.test_case "matches reference" `Quick test_search_matches_reference_figure10;
         ] );
-      Helpers.qsuite "props" [ prop_dual_dichotomy; prop_search_feasible; prop_search_extreme_shapes ];
+      Helpers.qsuite "props"
+        [ prop_dual_dichotomy; prop_search_feasible; prop_search_matches_reference; prop_search_extreme_shapes ];
     ]

@@ -139,6 +139,23 @@ let test_solver_counters () =
     (Report.counter r "dual_search.accepted" + Report.counter r "dual_search.rejected"
     = Report.counter r "dual_search.guesses")
 
+(* Every search decides its guesses with the dual's test and builds one
+   schedule: one [solve/search/construction] span per 3/2 and 3/2+eps
+   solve, beside the per-guess [solve/search/dual] spans. *)
+let test_one_construction_span () =
+  let inst = jumpy_instance () in
+  List.iter
+    (fun variant ->
+      List.iter
+        (fun algorithm ->
+          let r = profile algorithm variant inst in
+          let name = Solver.algorithm_name ~algorithm variant in
+          match List.assoc_opt "solve/search/construction" r.Report.spans with
+          | Some { Report.calls; _ } -> check int_c (name ^ ": one construction") 1 calls
+          | None -> Alcotest.failf "%s: no construction span" name)
+        [ Solver.Approx3_2; Solver.Approx3_2_eps (Rat.of_ints 1 8) ])
+    Variant.all
+
 (* counters are deterministic: two identical runs, identical reports
    modulo span timings *)
 let test_counters_deterministic () =
@@ -730,6 +747,7 @@ let () =
       ( "algorithms",
         [
           Alcotest.test_case "advertised counters" `Quick test_solver_counters;
+          Alcotest.test_case "one construction span" `Quick test_one_construction_span;
           Alcotest.test_case "deterministic" `Quick test_counters_deterministic;
         ] );
       ( "sinks",

@@ -19,14 +19,8 @@ let test_search_all_variants () =
   let eps = Rat.of_ints 1 10 in
   List.iter
     (fun v ->
-      let dual =
-        match v with
-        | Variant.Splittable -> Splittable_dual.run
-        | Variant.Preemptive -> fun i t -> Pmtn_dual.run i t
-        | Variant.Nonpreemptive -> Nonp_dual.run
-      in
       let t_min = Lower_bounds.t_min v inst in
-      let r = Dual_search.search ~dual ~epsilon:eps ~t_min inst in
+      let r = Dual_search.search ~dual:(Solver.dual_for v) ~epsilon:eps ~t_min inst in
       Checker.check_exn v inst r.Dual_search.schedule;
       (* makespan <= 3/2 accepted, accepted <= (1 + 2eps/3)(lowest rejected) *)
       check bool_c "within 3/2 accepted" true
@@ -37,7 +31,7 @@ let test_search_call_budget () =
   let inst = fixture () in
   let eps = Rat.of_ints 1 1000 in
   let t_min = Lower_bounds.t_min Variant.Splittable inst in
-  let r = Dual_search.search ~dual:Splittable_dual.run ~epsilon:eps ~t_min inst in
+  let r = Dual_search.search ~dual:(Solver.dual_for Variant.Splittable) ~epsilon:eps ~t_min inst in
   (* log2(3/(2*eps)) + 2 calls *)
   check bool_c "O(log 1/eps) calls" true (r.Dual_search.dual_calls <= 11 + 3)
 
@@ -46,7 +40,7 @@ let test_search_invalid_epsilon () =
   check bool_c "raises" true
     (try
        ignore
-         (Dual_search.search ~dual:Splittable_dual.run ~epsilon:Rat.zero
+         (Dual_search.search ~dual:(Solver.dual_for Variant.Splittable) ~epsilon:Rat.zero
             ~t_min:(Lower_bounds.t_min Variant.Splittable inst) inst);
        false
      with Invalid_argument _ -> true)
@@ -58,16 +52,60 @@ let prop_search_guarantee =
       let eps = Rat.of_ints 1 7 in
       List.for_all
         (fun v ->
-          let dual =
-            match v with
-            | Variant.Splittable -> Splittable_dual.run
-            | Variant.Preemptive -> fun i t -> Pmtn_dual.run i t
-            | Variant.Nonpreemptive -> Nonp_dual.run
-          in
           let t_min = Lower_bounds.t_min v inst in
-          let r = Dual_search.search ~dual ~epsilon:eps ~t_min inst in
+          let r = Dual_search.search ~dual:(Solver.dual_for v) ~epsilon:eps ~t_min inst in
           Checker.is_feasible v inst r.Dual_search.schedule
           && Helpers.within_factor ~num:3 ~den:2 r.Dual_search.schedule r.Dual_search.accepted)
+        Variant.all)
+
+let run_for = function
+  | Variant.Splittable -> Splittable_dual.run
+  | Variant.Preemptive -> fun i t -> Pmtn_dual.run i t
+  | Variant.Nonpreemptive -> Nonp_dual.run
+
+(* The search as it was before it split each dual into test and
+   construction: every guess runs the whole dual, and the schedule of the
+   latest accepted guess is kept. The search must return exactly this
+   schedule, guess and call count. *)
+let reference_search ~run ~epsilon ~t_min inst =
+  let calls = ref 0 in
+  let run tee =
+    incr calls;
+    run inst tee
+  in
+  let tolerance = Rat.mul t_min (Rat.mul_int (Rat.div_int epsilon 3) 2) in
+  match run t_min with
+  | Dual.Accepted s -> (s, t_min, !calls)
+  | Dual.Rejected _ -> (
+    let hi = Rat.mul_int t_min 2 in
+    match run hi with
+    | Dual.Rejected r -> Alcotest.failf "reference: 2*T_min rejected: %a" Dual.pp_rejection r
+    | Dual.Accepted s ->
+      let rec go lo hi best =
+        if Rat.( <= ) (Rat.sub hi lo) tolerance then (best, hi, !calls)
+        else begin
+          let mid = Rat.div_int (Rat.add lo hi) 2 in
+          match run mid with
+          | Dual.Accepted s -> go lo mid s
+          | Dual.Rejected _ -> go mid hi best
+        end
+      in
+      go t_min hi s)
+
+let prop_search_matches_reference =
+  QCheck2.Test.make ~name:"(3/2+eps) search: builds once, same result as building every accepted guess"
+    ~count:150 ~print:Instance.to_string (Helpers.gen_family_instance ()) (fun inst ->
+      List.for_all
+        (fun v ->
+          let t_min = Lower_bounds.t_min v inst in
+          List.for_all
+            (fun epsilon ->
+              let r = Dual_search.search ~dual:(Solver.dual_for v) ~epsilon ~t_min inst in
+              let schedule, accepted, calls = reference_search ~run:(run_for v) ~epsilon ~t_min inst in
+              Schedule.equal r.Dual_search.schedule schedule
+              && Rat.equal r.Dual_search.accepted accepted
+              && r.Dual_search.dual_calls = calls)
+            [ Rat.of_ints 1 7; Rat.of_ints 1 64 ])
         Variant.all)
 
 (* ---------------- solver facade ---------------- *)
@@ -118,6 +156,61 @@ let test_dual_printers_and_accessors () =
       Dual.Load_exceeds { required = Rat.two; available = Rat.one };
       Dual.Machines_exceed { required = 3; available = 1 };
     ]
+
+let rejection_equal a b =
+  match (a, b) with
+  | Dual.Below_trivial_bound { bound = x }, Dual.Below_trivial_bound { bound = y } -> Rat.equal x y
+  | Dual.Load_exceeds { required = r; available = a }, Dual.Load_exceeds { required = r'; available = a' } ->
+    Rat.equal r r' && Rat.equal a a'
+  | Dual.Machines_exceed { required = r; available = a }, Dual.Machines_exceed { required = r'; available = a' } ->
+    r = r' && a = a'
+  | _ -> false
+
+(* Integer guesses across [⌈T_min⌉ − 1, 2·T_min] (at most ~14 of them),
+   plus the midpoint above each one when [halves]. *)
+let guesses ~halves v inst =
+  let t_min = Lower_bounds.t_min v inst in
+  let lo = max 1 (Rat.ceil_int t_min - 1) and hi = Rat.floor_int (Rat.mul_int t_min 2) in
+  let step = max 1 ((hi - lo) / 12) in
+  let rec ints t = if t > hi then [] else t :: ints (t + step) in
+  List.concat_map
+    (fun t ->
+      let tee = Rat.of_int t in
+      if halves then [ tee; Rat.add tee (Rat.of_ints 1 2) ] else [ tee ])
+    (ints lo @ [ hi ])
+
+(* Each dual's acceptance rule lives in its [test]: [run] must accept
+   exactly where [test] does, reject with the same reason, and build the
+   schedule [construct] builds. *)
+let prop_test_decides_run =
+  let duals =
+    [
+      (Variant.Splittable, true, Splittable_dual.test, Splittable_dual.construct, Splittable_dual.run);
+      ( Variant.Preemptive,
+        true,
+        (fun i t -> Pmtn_dual.test i t),
+        (fun i t -> Pmtn_dual.construct i t),
+        fun i t -> Pmtn_dual.run i t );
+      ( Variant.Preemptive,
+        true,
+        Pmtn_dual.test ~mode:Pmtn_nice.Gamma,
+        Pmtn_dual.construct ~mode:Pmtn_nice.Gamma,
+        Pmtn_dual.run ~mode:Pmtn_nice.Gamma );
+      (Variant.Nonpreemptive, false, Nonp_dual.test, Nonp_dual.construct, Nonp_dual.run);
+    ]
+  in
+  QCheck2.Test.make ~name:"duals: test accepts iff run does, same rejection, same schedule" ~count:150
+    ~print:Instance.to_string (Helpers.gen_family_instance ()) (fun inst ->
+      List.for_all
+        (fun (v, halves, test, construct, run) ->
+          List.for_all
+            (fun tee ->
+              match (test inst tee, run inst tee) with
+              | Ok (), Dual.Accepted s -> Schedule.equal (construct inst tee) s
+              | Error r, Dual.Rejected r' -> rejection_equal r r'
+              | Ok (), Dual.Rejected _ | Error _, Dual.Accepted _ -> false)
+            (guesses ~halves v inst))
+        duals)
 
 let test_algorithm_names_distinct () =
   let names =
@@ -205,5 +298,6 @@ let () =
           Alcotest.test_case "suites" `Quick test_suites;
           Alcotest.test_case "by name" `Quick test_by_name;
         ] );
-      Helpers.qsuite "props" [ prop_search_guarantee; prop_solver_certificates ];
+      Helpers.qsuite "props"
+        [ prop_search_guarantee; prop_search_matches_reference; prop_test_decides_run; prop_solver_certificates ];
     ]
